@@ -175,6 +175,10 @@ func run(cfg config, started func(addr string)) error {
 		return err
 	}
 	session.StartCollector(srv.TelemetrySamples, tracker.Collect)
+	// Catch signals before announcing the address: a SIGTERM that lands
+	// right after start must drain, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	if err := srv.Start(); err != nil {
 		return err
 	}
@@ -186,8 +190,6 @@ func run(cfg config, started func(addr string)) error {
 		started(srv.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
 

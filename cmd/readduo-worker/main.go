@@ -107,6 +107,10 @@ func run(cfg config, started func(addr string)) error {
 		Collector:        session.Collector,
 	})
 	session.StartCollector(wk.TelemetrySamples)
+	// Catch signals before announcing the address: a SIGTERM that lands
+	// right after start must drain, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	if err := wk.Start(); err != nil {
 		return err
 	}
@@ -115,8 +119,6 @@ func run(cfg config, started func(addr string)) error {
 		started(wk.Addr())
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop() // restore default signal handling: a second signal kills hard
 

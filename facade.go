@@ -10,9 +10,9 @@ import (
 	"readduo/internal/cell"
 	"readduo/internal/drift"
 	"readduo/internal/ecp"
+	"readduo/internal/edap"
 	"readduo/internal/lifetime"
 	"readduo/internal/lwt"
-	"readduo/internal/metrics"
 	"readduo/internal/readout"
 	"readduo/internal/reliability"
 	"readduo/internal/sdw"
@@ -382,12 +382,12 @@ func NewStartGap(lines, psi uint64) (*StartGap, error) { return wearlevel.New(li
 
 // EDAP returns the paper's energy x delay x area product.
 func EDAP(energy, delay, areaCells float64) (float64, error) {
-	return metrics.EDAP(energy, delay, areaCells)
+	return edap.EDAP(energy, delay, areaCells)
 }
 
 // Improvement returns how much lower value is than baseline (0.37 = 37%).
 func Improvement(baseline, value float64) (float64, error) {
-	return metrics.Improvement(baseline, value)
+	return edap.Improvement(baseline, value)
 }
 
 // LineFootprint is a scheme's per-line storage cost.

@@ -10,8 +10,8 @@ import (
 
 // ShardedPopulation is Population's parallel form: the cohort is split
 // into fixed shards, each owning a contiguous cell range and an
-// independent RNG sub-stream derived as splitmix64(seed, shard). Every
-// operation fans the per-cell work across a bounded worker pool and
+// independent RNG sub-stream seeded by parallel.SplitMix64(seed+shard).
+// Every operation fans the per-cell work across a bounded worker pool and
 // aggregates in shard order, so results are fully deterministic for a
 // given (seed, shard count) — independent of the worker count and of
 // goroutine scheduling — while the heavy kernels (programming, sensing
@@ -32,15 +32,6 @@ type popShard struct {
 	cells  []Cell
 	rng    *rand.Rand
 	offset int // global index of cells[0]
-}
-
-// splitmix64 is the standard SplitMix64 step, used to derive well-spread
-// per-shard RNG seeds from (seed, shard).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // NewShardedPopulation programs n cells to level at time 0, split into
@@ -76,7 +67,7 @@ func NewShardedPopulation(rcfg drift.Config, level, n int, seed int64, shards, w
 		}
 		sp.shards[i] = popShard{
 			cells:  make([]Cell, sz),
-			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(i))))),
+			rng:    rand.New(rand.NewSource(int64(parallel.SplitMix64(uint64(seed) + uint64(i))))),
 			offset: offset,
 		}
 		offset += sz

@@ -191,12 +191,6 @@ func (cl *Cluster) fetch(i int, now int64) error {
 	return nil
 }
 
-// CyclePS returns the core cycle time in picoseconds. A core woken by a
-// read completion at time x issues its next access no earlier than x +
-// CyclePS (fetch charges at least one cycle), the slack the parallel
-// engine's conservative lookahead window is built from.
-func (cl *Cluster) CyclePS() int64 { return cl.cycPS }
-
 // NextActionAt returns the earliest time any core wants to act, or ok=false
 // when every core is blocked or done. Cores stalled on a full write queue
 // do not propose actions — retrying before the memory side has advanced

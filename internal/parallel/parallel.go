@@ -64,3 +64,14 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
+
+// SplitMix64 is the standard SplitMix64 mixer. It derives well-spread,
+// deterministic seeds and hashes from small integers: per-shard RNG
+// sub-streams from (seed, shard), per-job seeds from a campaign seed, and
+// per-line placement from line addresses.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -32,3 +32,17 @@ func TestDefaultWorkersBounds(t *testing.T) {
 		t.Errorf("DefaultWorkers(big) = %d out of range", got)
 	}
 }
+
+func TestSplitMix64Distinct(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := uint64(0); i < 10000; i++ {
+		v := SplitMix64(i)
+		if seen[v] {
+			t.Fatalf("collision at %d", i)
+		}
+		seen[v] = true
+	}
+	if SplitMix64(42) != SplitMix64(42) {
+		t.Error("SplitMix64 not deterministic")
+	}
+}

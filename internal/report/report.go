@@ -11,7 +11,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"readduo/internal/metrics"
+	"readduo/internal/edap"
 	"readduo/internal/sim"
 	"readduo/internal/telemetry"
 	"readduo/internal/trace"
@@ -139,11 +139,11 @@ func (m *Matrix) EDAPMatrix(refScheme string, system bool) (map[string]float64, 
 		var sum float64
 		for i := range m.Benchmarks {
 			r := m.Results[i][j]
-			edap, err := metrics.EDAP(energyOf(r), r.ExecTime.Seconds(), r.AreaCellsPerLine)
+			v, err := edap.EDAP(energyOf(r), r.ExecTime.Seconds(), r.AreaCellsPerLine)
 			if err != nil {
 				return nil, err
 			}
-			sum += edap
+			sum += v
 		}
 		raw[name] = sum / float64(len(m.Benchmarks))
 	}

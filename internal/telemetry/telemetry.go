@@ -98,10 +98,24 @@ const (
 // padded to its own cache lines so concurrent writers on different
 // stripes do not false-share.
 type histStripe struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
+	count atomic.Uint64
+	sum   atomic.Uint64
+	max   atomic.Uint64
+	// minInv holds ^min, so the zero value means "no observation" and
+	// both extremes update through the same raise-only loop.
+	minInv  atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 	_       [64]byte
+}
+
+// raise stores v into a if v is larger. The common case — v does not
+// beat the current extreme — is one atomic load.
+func raise(a *atomic.Uint64, v uint64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // Histogram is a race-safe latency/size histogram with fixed log2
@@ -134,6 +148,8 @@ func (h *Histogram) Observe(v uint64) {
 	s := &h.stripes[stripeIndex()]
 	s.count.Add(1)
 	s.sum.Add(v)
+	raise(&s.max, v)
+	raise(&s.minInv, ^v)
 	s.buckets[bucketOf(v)].Add(1)
 }
 
@@ -141,6 +157,10 @@ func (h *Histogram) Observe(v uint64) {
 type HistogramSnapshot struct {
 	Count uint64 `json:"count"`
 	Sum   uint64 `json:"sum"`
+	// Min and Max are the smallest and largest observed values; Quantile
+	// never reports outside them.
+	Min uint64 `json:"min,omitempty"`
+	Max uint64 `json:"max,omitempty"`
 	// Buckets lists only the occupied log2 ranges, in ascending order.
 	Buckets []HistogramBucket `json:"buckets,omitempty"`
 	// P50, P95 and P99 are quantile estimates interpolated inside the
@@ -168,12 +188,24 @@ func (s HistogramSnapshot) Mean() float64 {
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observed values
 // by locating the log2 bucket holding the nearest-rank observation and
-// interpolating linearly inside it. The estimate always lies within the
-// bounds of the bucket that contains the true quantile, so the absolute
-// error is at most the bucket width (Hi - Lo) and the relative error is
-// at most 1x (the bucket spans one octave). Returns 0 for an empty
-// snapshot; q is clamped to (0, 1].
+// interpolating linearly inside it, then clamping into [Min, Max]. The
+// estimate always lies within the bounds of the bucket that contains the
+// true quantile, so the absolute error is at most the bucket width
+// (Hi - Lo) and the relative error is at most 1x (the bucket spans one
+// octave); a constant series is exact. Returns 0 for an empty snapshot;
+// q is clamped to (0, 1].
 func (s HistogramSnapshot) Quantile(q float64) float64 {
+	est := s.interpolate(q)
+	// Max == 0 with nonzero data is a snapshot from before Min and Max
+	// were recorded; an all-zero series interpolates to 0 regardless.
+	if s.Max > 0 {
+		est = min(max(est, float64(s.Min)), float64(s.Max))
+	}
+	return est
+}
+
+// interpolate is Quantile's in-bucket estimate, before the range clamp.
+func (s HistogramSnapshot) interpolate(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
@@ -224,13 +256,17 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		return HistogramSnapshot{}
 	}
 	var merged [histBuckets]uint64
-	var sum uint64
+	var sum, maxV, minInv uint64
 	for i := range h.stripes {
 		s := &h.stripes[i]
 		sum += s.sum.Load()
 		for b := range s.buckets {
 			merged[b] += s.buckets[b].Load()
 		}
+		// Extremes are read after the buckets: Observe raises them before
+		// it bumps a bucket, so every counted value is inside [Min, Max].
+		maxV = max(maxV, s.max.Load())
+		minInv = max(minInv, s.minInv.Load())
 	}
 	snap := HistogramSnapshot{Sum: sum}
 	for b, n := range merged {
@@ -240,6 +276,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		snap.Count += n
 		lo, hi := bucketBounds(b)
 		snap.Buckets = append(snap.Buckets, HistogramBucket{Lo: lo, Hi: hi, Count: n})
+	}
+	if snap.Count > 0 {
+		snap.Min, snap.Max = ^minInv, maxV
 	}
 	snap.fillQuantiles()
 	return snap

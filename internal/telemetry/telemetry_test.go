@@ -144,9 +144,17 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 		}
 		sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
 		snap := h.Snapshot()
+		if snap.Min != values[0] || snap.Max != values[len(values)-1] {
+			t.Errorf("%s: range [%d,%d], want [%d,%d]",
+				name, snap.Min, snap.Max, values[0], values[len(values)-1])
+		}
 		for _, q := range quantiles {
 			exact := values[int(float64(len(values))*q)-1] // nearest rank
 			got := snap.Quantile(q)
+			if got < float64(snap.Min) || got > float64(snap.Max) {
+				t.Errorf("%s q=%.2f: estimate %.1f outside observed range [%d,%d]",
+					name, q, got, snap.Min, snap.Max)
+			}
 			lo, hi := bucketBounds(bucketOf(exact))
 			if got < float64(lo) || got > float64(hi) {
 				t.Errorf("%s q=%.2f: estimate %.1f outside exact's bucket [%d,%d] (exact %d)",
@@ -179,12 +187,22 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	single.Observe(100)
 	s := single.Snapshot()
 	for _, q := range []float64{0.01, 0.5, 1} {
-		if got := s.Quantile(q); got < 64 || got > 127 {
-			t.Fatalf("single-value q=%v = %v, want within [64,127]", q, got)
+		if got := s.Quantile(q); got != 100 {
+			t.Fatalf("single-value q=%v = %v, want 100", q, got)
 		}
 	}
-	if s.P50 == 0 || s.P95 == 0 || s.P99 == 0 {
-		t.Fatalf("snapshot quantiles not populated: %+v", s)
+	if s.P50 != 100 || s.P95 != 100 || s.P99 != 100 {
+		t.Fatalf("snapshot quantiles not exact: %+v", s)
+	}
+	// A constant series interpolated inside its [256,511] bucket used to
+	// report p50 = 383.5; the observed range pins it.
+	var constant Histogram
+	for i := 0; i < 1000; i++ {
+		constant.Observe(296)
+	}
+	c := constant.Snapshot()
+	if c.P50 != 296 || c.P95 != 296 || c.P99 != 296 {
+		t.Fatalf("constant-296 quantiles p50=%v p95=%v p99=%v, want 296", c.P50, c.P95, c.P99)
 	}
 }
 
